@@ -14,6 +14,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "opwat/infer/types.hpp"
 #include "opwat/net/ipv4.hpp"
@@ -44,7 +45,20 @@ void usage(std::ostream& os, const char* argv0) {
         "  --repeat K     send the request K times (default 1); with\n"
         "                 --retry, prints the client's retry stats\n"
         "  --json         machine-readable output\n"
-        "  --help         this text\n";
+        "  --help         this text\n"
+        "\n"
+        "integer flags take plain decimal digits; a malformed or\n"
+        "out-of-range value is a usage error (exit 2)\n";
+}
+
+/// The value of integer flag `flag`: plain decimal digits that fit T.
+/// Anything else is a usage error, reported before connecting.
+template <typename T>
+T flag_value(const char* argv0, std::string_view flag, const char* text) {
+  if (const auto v = opwat::util::parse_unsigned<T>(text)) return *v;
+  std::cerr << argv0 << ": bad value for " << flag << ": '" << text << "'\n";
+  usage(std::cerr, argv0);
+  std::exit(2);
 }
 
 void print_json(const opwat::portal::response& r) {
@@ -153,10 +167,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--op") {
       op_name = next();
     } else if (arg == "--asn") {
-      req.asn = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      req.asn = flag_value<std::uint32_t>(argv[0], arg, next());
     } else if (arg == "--ixp") {
-      req.ixp_id =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      req.ixp_id = flag_value<std::uint32_t>(argv[0], arg, next());
     } else if (arg == "--lo") {
       req.rtt_lo_ms = std::atof(next());
     } else if (arg == "--hi") {
@@ -173,19 +186,18 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--cls") {
-      req.cls_filter =
-          static_cast<std::uint8_t>(std::strtoul(next(), nullptr, 10));
+      req.cls_filter = flag_value<std::uint8_t>(argv[0], arg, next());
     } else if (arg == "--epoch") {
       req.epoch = next();
     } else if (arg == "--to") {
       req.epoch_to = next();
     } else if (arg == "--limit") {
-      req.limit = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      req.limit = flag_value<std::uint32_t>(argv[0], arg, next());
     } else if (arg == "--retry") {
-      retry = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      retry = flag_value<std::uint32_t>(argv[0], arg, next());
       if (retry == 0) retry = 1;
     } else if (arg == "--repeat") {
-      repeat = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      repeat = flag_value<std::uint32_t>(argv[0], arg, next());
       if (repeat == 0) repeat = 1;
     } else if (arg == "--json") {
       json = true;
@@ -216,11 +228,11 @@ int main(int argc, char** argv) {
     std::cerr << argv[0] << ": --connect wants HOST:PORT\n";
     return 2;
   }
+  const auto port =
+      flag_value<std::uint16_t>(argv[0], "--connect", connect.c_str() + colon + 1);
 
   try {
-    portal::client c{connect.substr(0, colon),
-                     static_cast<std::uint16_t>(
-                         std::stoi(connect.substr(colon + 1)))};
+    portal::client c{connect.substr(0, colon), port};
     portal::retry_config rcfg;
     rcfg.max_attempts = retry;
     portal::response resp;

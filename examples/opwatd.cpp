@@ -19,14 +19,17 @@
 // down a serving portal.
 //
 // Exit codes are distinct per failure class so supervisors can react
-// (restart vs page vs fix the config): 0 clean, 2 usage, 3 the catalog
-// could not be loaded/generated, 4 the listen socket could not be
-// bound.
+// (restart vs page vs fix the config): 0 clean, 2 usage (including a
+// numeric flag that is not plain digits or is out of range), 3 the
+// catalog could not be loaded/generated, 4 the listen socket could not
+// be bound.
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "opwat/eval/scenario.hpp"
@@ -34,12 +37,15 @@
 #include "opwat/serve/shared_catalog.hpp"
 #include "opwat/serve/store.hpp"
 #include "opwat/util/failpoint.hpp"
+#include "opwat/util/strings.hpp"
 
 namespace {
 
 constexpr int k_exit_usage = 2;
 constexpr int k_exit_load = 3;
 constexpr int k_exit_bind = 4;
+/// Upper bound for --workers: each worker is an OS thread.
+constexpr std::size_t k_max_workers = 256;
 
 // Written by the signal handlers, polled by the main loop.
 volatile std::sig_atomic_t g_stop = 0;
@@ -51,7 +57,7 @@ extern "C" void on_reload(int) { g_reload = 1; }
 void usage(std::ostream& os, const char* argv0) {
   os << "usage: " << argv0
      << " [--load FILE [--recover]] [--gen small|paper] [--save FILE]\n"
-        "       [--addr A] [--port N] [--workers N] [--scan-threads N]\n"
+        "       [--addr A] [--port N] [--workers N]\n"
         "       [--seed N] [--epochs N] [--help]\n"
         "\n"
         "  --load FILE    serve the epochs of a .opwatc snapshot\n"
@@ -63,11 +69,9 @@ void usage(std::ostream& os, const char* argv0) {
         "  --save FILE    after --gen, persist the catalog as .opwatc\n"
         "  --addr A       bind address (default 127.0.0.1)\n"
         "  --port N       bind port (default 9417; 0 = ephemeral)\n"
-        "  --workers N    query worker threads (default 2)\n"
-        "  --scan-threads N  morsel-parallel scan threads per worker\n"
-        "                 (default 0 = serial scans)\n"
+        "  --workers N    query worker threads, 1..256 (default 2)\n"
         "  --seed N       --gen scenario seed (default 42)\n"
-        "  --epochs N     --gen epoch count (default 1; consecutive\n"
+        "  --epochs N     --gen epoch count, >= 1 (default 1; consecutive\n"
         "                 months from 2018-04, distinct seeds)\n"
         "  --help         this text\n"
         "\n"
@@ -84,6 +88,18 @@ void usage(std::ostream& os, const char* argv0) {
         "\n"
         "exit codes: 0 clean, 2 usage, 3 catalog load/generate failed,\n"
         "4 bind failed\n";
+}
+
+/// The value of numeric flag `flag`: plain decimal digits within
+/// [lo, hi].  Anything else is a usage error, reported before any
+/// catalog is built or socket bound.
+template <typename T>
+T flag_value(const char* argv0, std::string_view flag, const char* text,
+             T lo = std::numeric_limits<T>::min(), T hi = std::numeric_limits<T>::max()) {
+  if (const auto v = opwat::util::parse_unsigned<T>(text, lo, hi)) return *v;
+  std::cerr << argv0 << ": bad value for " << flag << ": '" << text << "'\n";
+  usage(std::cerr, argv0);
+  std::exit(k_exit_usage);
 }
 
 /// Month label for --gen --epochs: 2018-04, 2018-05, ... rolling into
@@ -133,15 +149,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--addr") {
       cfg.bind_addr = next();
     } else if (arg == "--port") {
-      cfg.port = static_cast<std::uint16_t>(std::atoi(next()));
+      cfg.port = flag_value<std::uint16_t>(argv[0], arg, next());
     } else if (arg == "--workers") {
-      cfg.workers = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--scan-threads") {
-      cfg.scan_threads = static_cast<std::size_t>(std::atoll(next()));
+      cfg.workers = flag_value<std::size_t>(argv[0], arg, next(), 1, k_max_workers);
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = flag_value<std::uint64_t>(argv[0], arg, next());
     } else if (arg == "--epochs") {
-      epochs = static_cast<std::size_t>(std::atoll(next()));
+      epochs = flag_value<std::size_t>(argv[0], arg, next(), 1);
     } else if (arg == "--help" || arg == "-h") {
       usage(std::cout, argv[0]);
       return 0;
@@ -161,10 +175,6 @@ int main(int argc, char** argv) {
   }
   if (gen && gen_scale != "small" && gen_scale != "paper") {
     usage(std::cerr, argv[0]);
-    return k_exit_usage;
-  }
-  if (gen && epochs == 0) {
-    std::cerr << argv[0] << ": --epochs wants at least 1\n";
     return k_exit_usage;
   }
 
@@ -243,8 +253,7 @@ int main(int argc, char** argv) {
   {
     const auto snap = cat.snapshot();
     std::cout << "opwatd serving " << snap->epoch_count() << " epoch(s), "
-              << cfg.workers << " worker(s), " << cfg.scan_threads
-              << " scan thread(s)/worker\n";
+              << cfg.workers << " worker(s)\n";
   }
   std::cout << "opwatd listening on " << cfg.bind_addr << ":" << srv.port()
             << std::endl;  // flushed: readiness line scripts wait for

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "opwat/serve/query.hpp"
@@ -77,8 +78,6 @@ struct server::counters {
   std::atomic<std::uint64_t> cache_hits{0};
   std::atomic<std::uint64_t> cache_misses{0};
   std::atomic<std::uint64_t> http_requests{0};
-  std::atomic<std::uint64_t> parallel_scans{0};
-  std::atomic<std::uint64_t> morsels_executed{0};
 };
 
 struct server::connection {
@@ -148,7 +147,8 @@ server::server(serve::shared_catalog& cat, server_config cfg)
       cache_(cfg_.cache_entries > 0
                  ? std::make_unique<result_cache>(cfg_.cache_entries)
                  : nullptr) {
-  OPWAT_ASSERT(cfg_.workers > 0, "portal server needs at least one worker");
+  if (cfg_.workers == 0)
+    throw std::invalid_argument("portal server needs at least one worker");
 }
 
 server::~server() { stop(); }
@@ -162,22 +162,15 @@ void server::start() {
   port_ = net::local_port(listen_fd_.get());
 
   queue_ = std::make_unique<util::bounded_queue<job>>(cfg_.queue_capacity);
-  pool_ = std::make_unique<util::thread_pool>(cfg_.workers);
-  if (cfg_.scan_threads > 0) {
-    scan_scheds_.reserve(cfg_.workers);
-    for (std::size_t w = 0; w < cfg_.workers; ++w)
-      scan_scheds_.push_back(
-          std::make_unique<serve::exec::morsel_scheduler>(cfg_.scan_threads));
-  }
 
   if (cache_) {
     cat_.set_publish_hook([this](std::uint64_t) { cache_->clear(); });
   }
 
   acceptor_ = std::thread{[this] { acceptor_loop(); }};
-  dispatcher_ = std::thread{[this] {
-    pool_->parallel_for(cfg_.workers, [this](std::size_t w) { worker_loop(w); });
-  }};
+  workers_.reserve(cfg_.workers);
+  for (std::size_t w = 0; w < cfg_.workers; ++w)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 void server::stop() {
@@ -193,7 +186,7 @@ void server::stop() {
   // Admitted jobs drain: close() lets pop() hand out the backlog, then
   // return nullopt to every worker.
   if (queue_) queue_->close();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (auto& w : workers_) w.join();
   // All threads are gone; destroying the connections closes their fds.
   conns_.clear();
   listen_fd_.reset();
@@ -215,8 +208,6 @@ server_stats server::stats() const {
   s.cache_hits = stats_->cache_hits.load(std::memory_order_relaxed);
   s.cache_misses = stats_->cache_misses.load(std::memory_order_relaxed);
   s.http_requests = stats_->http_requests.load(std::memory_order_relaxed);
-  s.parallel_scans = stats_->parallel_scans.load(std::memory_order_relaxed);
-  s.morsels_executed = stats_->morsels_executed.load(std::memory_order_relaxed);
   s.catalog_version = cat_.version();
   const auto h = health();
   s.degraded = h.degraded ? 1 : 0;
@@ -224,6 +215,29 @@ server_stats server::stats() const {
   s.bytes_truncated = h.bytes_truncated;
   s.reload_failures = h.reload_failures;
   return s;
+}
+
+std::vector<std::pair<std::string_view, std::uint64_t>> server_stats::fields() const {
+  return {
+      {"connections_accepted", connections_accepted},
+      {"connections_refused", connections_refused},
+      {"connections_active", connections_active},
+      {"requests_admitted", requests_admitted},
+      {"responses_ok", responses_ok},
+      {"responses_error", responses_error},
+      {"shed_queue_full", shed_queue_full},
+      {"shed_pipeline", shed_pipeline},
+      {"protocol_errors", protocol_errors},
+      {"accept_errors", accept_errors},
+      {"cache_hits", cache_hits},
+      {"cache_misses", cache_misses},
+      {"http_requests", http_requests},
+      {"catalog_version", catalog_version},
+      {"degraded", degraded},
+      {"quarantined_epochs", quarantined_epochs},
+      {"bytes_truncated", bytes_truncated},
+      {"reload_failures", reload_failures},
+  };
 }
 
 void server::set_health(const health_status& h) {
@@ -441,28 +455,8 @@ void server::handle_http(const std::shared_ptr<connection>& conn) {
     w.key("degraded").value(h.degraded);
     w.end_object();
   } else if (path == "/stats") {
-    const auto s = stats();
     w.begin_object();
-    w.key("connections_accepted").value(s.connections_accepted);
-    w.key("connections_refused").value(s.connections_refused);
-    w.key("connections_active").value(s.connections_active);
-    w.key("requests_admitted").value(s.requests_admitted);
-    w.key("responses_ok").value(s.responses_ok);
-    w.key("responses_error").value(s.responses_error);
-    w.key("shed_queue_full").value(s.shed_queue_full);
-    w.key("shed_pipeline").value(s.shed_pipeline);
-    w.key("protocol_errors").value(s.protocol_errors);
-    w.key("accept_errors").value(s.accept_errors);
-    w.key("cache_hits").value(s.cache_hits);
-    w.key("cache_misses").value(s.cache_misses);
-    w.key("http_requests").value(s.http_requests);
-    w.key("parallel_scans").value(s.parallel_scans);
-    w.key("morsels_executed").value(s.morsels_executed);
-    w.key("catalog_version").value(s.catalog_version);
-    w.key("degraded").value(s.degraded);
-    w.key("quarantined_epochs").value(s.quarantined_epochs);
-    w.key("bytes_truncated").value(s.bytes_truncated);
-    w.key("reload_failures").value(s.reload_failures);
+    for (const auto& [k, v] : stats().fields()) w.key(k).value(v);
     w.end_object();
   } else if (path == "/epochs") {
     const auto snap = cat_.snapshot();
@@ -490,11 +484,11 @@ void server::handle_http(const std::shared_ptr<connection>& conn) {
 
 // --- workers -----------------------------------------------------------------
 
-void server::worker_loop(std::size_t w) {
-  // Absolute backstop: a worker must never die (an escaped exception
-  // would shrink the pool for good and terminate the process at stop()),
-  // so the error-response attempt itself may not throw, and in_flight
-  // must come back down no matter what.
+void server::worker_loop() {
+  // Absolute backstop: a worker must never die (an exception escaping a
+  // std::thread terminates the process), so the error-response attempt
+  // itself may not throw, and in_flight must come back down no matter
+  // what.
   const auto backstop = [this](job& j, const char* what) noexcept {
     try {
       response r = error_response(portal_errc::internal, what);
@@ -506,7 +500,7 @@ void server::worker_loop(std::size_t w) {
   };
   while (auto j = queue_->pop()) {
     try {
-      process(*j, w);
+      process(*j);
     } catch (const std::exception& e) {
       backstop(*j, e.what());
     } catch (...) {
@@ -518,7 +512,7 @@ void server::worker_loop(std::size_t w) {
 // opwat-lint: region(nonblocking): worker request path — workers must drain
 // the admitted backlog even under shutdown, so everything from dequeue to the
 // response write is bounded (send_all carries cfg_.write_timeout_ms).
-void server::process(job& j, std::size_t w) {
+void server::process(job& j) {
   if (cfg_.before_execute) cfg_.before_execute();
 
   // Version BEFORE snapshot: if a publish lands in between, results
@@ -574,7 +568,7 @@ void server::process(job& j, std::size_t w) {
   }
 
   if (!done) {
-    resp = execute(req, *snap, w);
+    resp = execute(req, *snap);
     if (cacheable && resp.status == portal_errc::ok)
       cache_->insert(std::move(key), version, resp);
   }
@@ -584,15 +578,8 @@ void server::process(job& j, std::size_t w) {
   j.conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
 }
 
-response server::execute(const request& req, const serve::catalog& snap,
-                         std::size_t w) const {
+response server::execute(const request& req, const serve::catalog& snap) const {
   response resp;
-  // The worker's private scheduler (null = serial scans).  Injected into
-  // every query this op builds; byte-identical results either way, so
-  // callers cannot observe the difference except through the stats op.
-  serve::exec::morsel_scheduler* sched =
-      scan_scheds_.empty() ? nullptr : scan_scheds_[w].get();
-  serve::exec::stats scan_st;
   try {
     switch (req.op) {
       case op_code::ping:
@@ -600,7 +587,6 @@ response server::execute(const request& req, const serve::catalog& snap,
 
       case op_code::member: {
         serve::query q{snap};
-        q.scheduler(sched).collect_stats(&scan_st);
         q.epoch(req.epoch);
         resp.epoch = req.epoch;
         if (req.ixp_id != k_no_ixp_filter) {
@@ -624,7 +610,6 @@ response server::execute(const request& req, const serve::catalog& snap,
           return error_response(portal_errc::bad_request,
                                 "rtt_band needs lo <= hi, both numbers");
         serve::query q{snap};
-        q.scheduler(sched).collect_stats(&scan_st);
         q.epoch(req.epoch);
         resp.epoch = req.epoch;
         if (req.ixp_id != k_no_ixp_filter) {
@@ -644,7 +629,6 @@ response server::execute(const request& req, const serve::catalog& snap,
 
       case op_code::group_by: {
         serve::query q{snap};
-        q.scheduler(sched).collect_stats(&scan_st);
         q.epoch(req.epoch);
         resp.epoch = req.epoch;
         if (req.ixp_id != k_no_ixp_filter) {
@@ -698,41 +682,13 @@ response server::execute(const request& req, const serve::catalog& snap,
         break;
 
       case op_code::stats: {
-        const auto s = stats();
-        const auto put = [&resp](std::string_view k, std::uint64_t v) {
+        for (const auto& [k, v] : stats().fields())
           resp.groups.push_back(group_record{std::string{k}, v});
-        };
-        put("connections_accepted", s.connections_accepted);
-        put("connections_refused", s.connections_refused);
-        put("connections_active", s.connections_active);
-        put("requests_admitted", s.requests_admitted);
-        put("responses_ok", s.responses_ok);
-        put("responses_error", s.responses_error);
-        put("shed_queue_full", s.shed_queue_full);
-        put("shed_pipeline", s.shed_pipeline);
-        put("protocol_errors", s.protocol_errors);
-        put("accept_errors", s.accept_errors);
-        put("cache_hits", s.cache_hits);
-        put("cache_misses", s.cache_misses);
-        put("http_requests", s.http_requests);
-        put("parallel_scans", s.parallel_scans);
-        put("morsels_executed", s.morsels_executed);
-        put("catalog_version", s.catalog_version);
-        put("degraded", s.degraded);
-        put("quarantined_epochs", s.quarantined_epochs);
-        put("bytes_truncated", s.bytes_truncated);
-        put("reload_failures", s.reload_failures);
         break;
       }
     }
   } catch (const std::invalid_argument& e) {
     return error_response(portal_errc::bad_request, e.what());
-  }
-  // A query that ran at least one morsel went through the parallel path.
-  if (sched != nullptr && scan_st.morsels > 0) {
-    stats_->parallel_scans.fetch_add(1, std::memory_order_relaxed);
-    stats_->morsels_executed.fetch_add(scan_st.morsels,
-                                       std::memory_order_relaxed);
   }
   return resp;
 }

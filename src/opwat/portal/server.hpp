@@ -15,11 +15,14 @@
 //                          are bounded by cfg.write_timeout_ms, so a
 //                          slow client can stall it only briefly, never
 //                          forever.
-//   worker pool            cfg.workers threads on a util::thread_pool,
-//                          each looping pop → execute → respond.  Every
-//                          query runs lock-free against a
+//   workers                cfg.workers plain threads, each looping
+//                          pop → execute → respond.  Every query runs
+//                          serially and lock-free against a
 //                          shared_catalog::snapshot() (RCU) — a writer
 //                          publishing a new epoch never blocks serving.
+//                          Parallelism comes from running independent
+//                          requests on separate workers, never from
+//                          splitting one query.
 //   bounded job queue      util::bounded_queue between the two; when it
 //                          is full the acceptor sheds the request with
 //                          a typed `overloaded` response immediately —
@@ -63,17 +66,17 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "opwat/net/tcp.hpp"
 #include "opwat/portal/protocol.hpp"
-#include "opwat/serve/exec.hpp"
 #include "opwat/serve/shared_catalog.hpp"
 #include "opwat/util/annotations.hpp"
 #include "opwat/util/bounded_queue.hpp"
-#include "opwat/util/thread_pool.hpp"
 
 namespace opwat::portal {
 
@@ -81,6 +84,8 @@ struct server_config {
   std::string bind_addr = "127.0.0.1";
   /// 0 = ephemeral; read the bound port back with port().
   std::uint16_t port = 0;
+  /// Worker threads (>= 1; the server constructor throws
+  /// std::invalid_argument for 0).
   std::size_t workers = 2;
   std::size_t max_connections = 1024;
   /// Bounded job queue between acceptor and workers; a full queue sheds
@@ -104,13 +109,6 @@ struct server_config {
   /// admission-limit behavior deterministic).  Leave empty in
   /// production.
   std::function<void()> before_execute;
-  /// Scan threads per worker: when > 0, each worker gets a private
-  /// exec::morsel_scheduler with this many threads and runs its scans
-  /// morsel-parallel (results stay byte-identical to serial).  Private
-  /// per worker so independent queries never queue behind each other on
-  /// a shared pool.  0 = serial scans (the default — right for small
-  /// catalogs, where morsel overhead exceeds the win).
-  std::size_t scan_threads = 0;
 };
 
 /// Counter snapshot (stats() and the `stats` op / GET /stats).
@@ -128,11 +126,6 @@ struct server_stats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t http_requests = 0;
-  /// Queries executed with morsel-parallel scans (0 unless
-  /// cfg.scan_threads > 0).
-  std::uint64_t parallel_scans = 0;
-  /// Total morsels those parallel scans executed.
-  std::uint64_t morsels_executed = 0;
   std::uint64_t catalog_version = 0;
   /// Health mirror (set_health): 1 when the served snapshot is not the
   /// full intact store — epochs were quarantined by a recover-mode load,
@@ -144,6 +137,10 @@ struct server_stats {
   std::uint64_t bytes_truncated = 0;
   /// Reloads (SIGHUP) rejected while the server kept the old snapshot.
   std::uint64_t reload_failures = 0;
+
+  /// Every counter as a (name, value) pair, in a fixed order: the one
+  /// key list behind both the `stats` op and GET /stats.
+  [[nodiscard]] std::vector<std::pair<std::string_view, std::uint64_t>> fields() const;
 };
 
 /// What the operator of a self-healing portal needs to see: is the
@@ -160,9 +157,10 @@ struct health_status {
 
 class server {
  public:
-  /// Binds nothing yet; start() does.  The shared_catalog must outlive
-  /// the server.  The server registers itself as the catalog's publish
-  /// hook for cache invalidation (one server per shared_catalog).
+  /// Binds nothing yet; start() does.  Throws std::invalid_argument
+  /// when cfg.workers is 0.  The shared_catalog must outlive the
+  /// server.  The server registers itself as the catalog's publish hook
+  /// for cache invalidation (one server per shared_catalog).
   explicit server(serve::shared_catalog& cat, server_config cfg = {});
   /// stop()s if still running.
   ~server();
@@ -201,10 +199,9 @@ class server {
   void admit(const std::shared_ptr<connection>& conn, request req);
   void handle_http(const std::shared_ptr<connection>& conn);
 
-  void worker_loop(std::size_t w);
-  void process(job& j, std::size_t w);
-  [[nodiscard]] response execute(const request& req, const serve::catalog& snap,
-                                 std::size_t w) const;
+  void worker_loop();
+  void process(job& j);
+  [[nodiscard]] response execute(const request& req, const serve::catalog& snap) const;
   /// Serializes and writes one response frame (thread-safe per conn).
   void respond(const std::shared_ptr<connection>& conn, const response& r);
 
@@ -219,15 +216,10 @@ class server {
   bool stopped_ = false;
 
   std::unique_ptr<util::bounded_queue<job>> queue_;
-  std::unique_ptr<util::thread_pool> pool_;
   std::thread acceptor_;
-  std::thread dispatcher_;  ///< runs pool_->parallel_for over worker loops
-
-  /// One private morsel scheduler per worker when cfg.scan_threads > 0
-  /// (empty otherwise).  Created in start() before the workers launch,
-  /// destroyed after they join — workers index it by their stable id
-  /// without synchronization.
-  std::vector<std::unique_ptr<serve::exec::morsel_scheduler>> scan_scheds_;
+  /// cfg.workers threads running worker_loop(); joined in stop() after
+  /// the queue closes.
+  std::vector<std::thread> workers_;
 
   /// Live connections; acceptor-thread-only between start and join.
   std::unordered_map<int, std::shared_ptr<connection>> conns_;

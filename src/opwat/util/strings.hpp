@@ -1,8 +1,12 @@
 // Small string helpers used across the library (no std::format on GCC 12).
 #pragma once
 
+#include <charconv>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace opwat::util {
@@ -30,5 +34,22 @@ namespace opwat::util {
 
 /// True if `s` starts with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) noexcept;
+
+/// Strict parse of a decimal unsigned integer for command-line flags:
+/// `s` must be one or more ASCII digits and nothing else (no sign,
+/// whitespace or prefix), and the value must fit T and lie in
+/// [lo, hi].  nullopt otherwise.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_unsigned(
+    std::string_view s, T lo = std::numeric_limits<T>::min(),
+    T hi = std::numeric_limits<T>::max()) noexcept {
+  static_assert(std::is_unsigned_v<T>);
+  T v{};
+  // from_chars takes no sign, whitespace or prefix for an unsigned T.
+  const auto* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < lo || v > hi) return std::nullopt;
+  return v;
+}
 
 }  // namespace opwat::util

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "opwat/util/strings.hpp"
 
 namespace {
@@ -79,5 +82,28 @@ TEST_P(SplitJoinRoundtrip, Roundtrips) {
 INSTANTIATE_TEST_SUITE_P(Cases, SplitJoinRoundtrip,
                          ::testing::Values("", "a", "a;b", ";;", "x;;y;",
                                            "the;quick;brown;fox"));
+
+TEST(Strings, ParseUnsignedAcceptsDigitsInRange) {
+  EXPECT_EQ(parse_unsigned<std::uint16_t>("0"), std::uint16_t{0});
+  EXPECT_EQ(parse_unsigned<std::uint16_t>("65535"), std::uint16_t{65535});
+  EXPECT_EQ(parse_unsigned<std::uint8_t>("007"), std::uint8_t{7});
+  EXPECT_EQ(parse_unsigned<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_unsigned<std::size_t>("4", 1, 8), std::size_t{4});
+}
+
+TEST(Strings, ParseUnsignedRejectsOutOfRange) {
+  EXPECT_FALSE(parse_unsigned<std::uint16_t>("70000"));
+  EXPECT_FALSE(parse_unsigned<std::uint8_t>("256"));
+  EXPECT_FALSE(parse_unsigned<std::uint32_t>("4294967296"));
+  EXPECT_FALSE(parse_unsigned<std::uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(parse_unsigned<std::size_t>("0", 1, 8));
+  EXPECT_FALSE(parse_unsigned<std::size_t>("9", 1, 8));
+}
+
+TEST(Strings, ParseUnsignedRejectsNonDigits) {
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "abc", "1x", "0x10", "1.5", "1e3"})
+    EXPECT_FALSE(parse_unsigned<std::uint32_t>(bad)) << '"' << bad << '"';
+}
 
 }  // namespace
